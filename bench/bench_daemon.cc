@@ -294,7 +294,6 @@ int main(int argc, char** argv) {
 
   DaemonOptions options;
   options.catalog.serve.engine.search.min_tightness = 0.3;
-  options.catalog.serve.scan_threads = threads;
   options.catalog.serve.engine.build.num_threads = threads;
   options.catalog.serve.engine.profile.num_threads = threads;
   options.max_connections =
@@ -376,8 +375,7 @@ int main(int argc, char** argv) {
   out.Print();
   std::cout << "sketch cache: " << serve.sketch_exact_hits << " exact, "
             << serve.sketch_patched_hits << " patched, " << serve.sketch_misses
-            << " misses; scans " << serve.scans << " ("
-            << serve.coalesced_requests << " coalesced)\n";
+            << " misses\n";
 
   // ---- pipelined high-concurrency scenario ----
   PipelinedResult piped;
@@ -428,7 +426,7 @@ int main(int argc, char** argv) {
     report.Set("benchmark", "daemon");
     report.Set("clients", static_cast<double>(num_clients));
     report.Set("requests_per_client", static_cast<double>(requests_per_client));
-    report.Set("scan_threads", static_cast<double>(threads));
+    report.Set("threads", static_cast<double>(threads));
     report.Set("total_requests", static_cast<double>(total_requests));
     report.Set("transport_failures", static_cast<double>(total_failures));
     report.Set("wall_ms", wall_ms);
@@ -457,10 +455,7 @@ int main(int argc, char** argv) {
                    .Set("sketch_patched_hits",
                         static_cast<double>(serve.sketch_patched_hits))
                    .Set("sketch_misses",
-                        static_cast<double>(serve.sketch_misses))
-                   .Set("scans", static_cast<double>(serve.scans))
-                   .Set("coalesced_requests",
-                        static_cast<double>(serve.coalesced_requests)));
+                        static_cast<double>(serve.sketch_misses)));
     report.Set("daemon",
                bench::JsonValue::Object()
                    .Set("connections_accepted",

@@ -197,19 +197,17 @@ int main(int argc, char** argv) {
 
   // ---- report --------------------------------------------------------------
   const size_t total_requests = workload.size() * kSessions;
-  bench::ResultTable table({"phase", "ms", "req/s", "exact", "patched", "misses",
-                            "coalesced"});
+  bench::ResultTable table({"phase", "ms", "req/s", "exact", "patched", "misses"});
   auto row = [&](const std::string& name, double ms, size_t requests,
                  const ServeStats& st) {
     table.AddRow({name, Fmt(ms, 1), Fmt(bench::RowsPerSec(requests, ms), 1),
                   std::to_string(st.sketch_exact_hits),
                   std::to_string(st.sketch_patched_hits),
-                  std::to_string(st.sketch_misses),
-                  std::to_string(st.coalesced_requests)});
+                  std::to_string(st.sketch_misses)});
   };
   table.AddRow({"A:no-sharing", Fmt(baseline_ms, 1),
                 Fmt(bench::RowsPerSec(total_requests, baseline_ms), 1), "-", "-",
-                "-", "-"});
+                "-"});
   row("B:cached-seq", cached_ms, total_requests, stats_b);
   row("C:cached-conc", concurrent_ms, total_requests, stats_c);
   row("D:refine-chains", patch_ms, chain.size() * kSessions, stats_d);
@@ -240,8 +238,6 @@ int main(int argc, char** argv) {
           .Set("sketch_patched_hits", static_cast<double>(st.sketch_patched_hits))
           .Set("sketch_misses", static_cast<double>(st.sketch_misses))
           .Set("patched_delta_rows", static_cast<double>(st.patched_delta_rows))
-          .Set("scans", static_cast<double>(st.scans))
-          .Set("coalesced_requests", static_cast<double>(st.coalesced_requests))
           .Set("cache_entries", static_cast<double>(st.cache.entries))
           .Set("cache_evictions", static_cast<double>(st.cache.evictions));
       return p;

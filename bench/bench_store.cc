@@ -81,7 +81,6 @@ ServeOptions BenchServeOptions(size_t threads) {
   ServeOptions options;
   options.engine.search.min_tightness = 0.4;
   options.engine.search.max_views = 10;
-  options.scan_threads = threads;
   options.engine.build.num_threads = threads;
   options.engine.profile.num_threads = threads;
   return options;

@@ -27,8 +27,8 @@ const char* SketchSourceToString(SketchSource source) {
       return "cache-exact";
     case SketchSource::kCachePatched:
       return "cache-patched";
-    case SketchSource::kCoalescedScan:
-      return "coalesced-scan";
+    case SketchSource::kScan:
+      return "scan";
   }
   return "unknown";
 }
@@ -114,8 +114,8 @@ Result<Characterization> ZiggyEngine::Characterize(const Selection& selection) {
   if (components == nullptr) {
     bool provided = false;
     if (sketch_provider_) {
-      // Serving-layer path: sketches come from the shared cache or a
-      // coalesced scan. Validation must run first — providers only handle
+      // Serving-layer path: sketches come from the shared cache or the
+      // server's scan. Validation must run first — providers only handle
       // well-formed selections.
       ZIGGY_RETURN_NOT_OK(
           ValidateCharacterizationInput(*table_, *profile_, selection));
@@ -130,7 +130,6 @@ Result<Characterization> ZiggyEngine::Characterize(const Selection& selection) {
                                         *supplied->inside, outside, options_.build));
         out.sketch_source = supplied->source;
         out.delta_rows = supplied->delta_rows;
-        out.coalesced = supplied->coalesced;
         provided = true;
       }
     }
@@ -189,7 +188,7 @@ const ComponentTable* ZiggyEngine::TouchCacheEntry(
 const ComponentTable* ZiggyEngine::InsertCacheEntry(uint64_t fingerprint,
                                                     ComponentTable components) {
   // Only reached on a confirmed miss (Characterize looked the fingerprint
-  // up under the same lock), so this is always a fresh insertion.
+  // up first), so this is always a fresh insertion.
   cache_order_.push_front(fingerprint);
   auto [it, inserted] = component_cache_.emplace(
       fingerprint, CachedComponents{std::move(components), cache_order_.begin()});

@@ -30,7 +30,7 @@ std::shared_ptr<const CachedSketches> SketchCache::FindNearest(
   std::shared_ptr<const CachedSketches> best;
   size_t best_delta = max_delta_rows + 1;
   if (best_delta == 0) return nullptr;  // max_delta_rows == SIZE_MAX guard
-  for (const auto& candidate : cache_.CollectRecent(options_.near_miss_candidates)) {
+  for (const auto& candidate : cache_.CollectRecent(kNearMissCandidates)) {
     if (candidate->generation != generation) continue;
     if (candidate->selection.num_rows() != wanted.num_rows()) continue;
     const size_t delta = candidate->selection.HammingDistance(wanted);

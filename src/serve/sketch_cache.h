@@ -42,21 +42,22 @@ struct CachedSketches {
 /// \brief Thread-safe sharded LRU cache of selection sketches.
 class SketchCache {
  public:
+  /// Lock stripes (and LRU shards) of the underlying cache.
+  static constexpr size_t kShards = 8;
+  /// MRU entries per shard examined by the near-miss search. Small by
+  /// design: exploration traffic is temporally local, so the profitable
+  /// patch base is almost always a recent insertion.
+  static constexpr size_t kNearMissCandidates = 8;
+
   struct Options {
-    size_t shards = 8;
     size_t budget_bytes = 64ull << 20;
-    /// MRU entries per shard examined by the near-miss search. Small by
-    /// design: exploration traffic is temporally local, so the profitable
-    /// patch base is almost always a recent insertion.
-    size_t near_miss_candidates = 8;
     /// Optional group budget shared with other caches (the serving
     /// catalog's global sketch-memory ceiling). See ShardedLruCache.
     std::shared_ptr<CacheBudget> shared_budget;
   };
 
   explicit SketchCache(const Options& options)
-      : options_(options),
-        cache_(options.shards, options.budget_bytes, options.shared_budget) {}
+      : cache_(kShards, options.budget_bytes, options.shared_budget) {}
 
   /// Exact fingerprint lookup, gated on the requester's generation: an
   /// entry inserted by a request that was still running against an older
@@ -99,7 +100,6 @@ class SketchCache {
   CacheStats stats() const { return cache_.stats(); }
 
  private:
-  Options options_;
   ShardedLruCache<CachedSketches> cache_;
 };
 

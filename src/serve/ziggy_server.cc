@@ -12,12 +12,8 @@ ZiggyServer::ZiggyServer(ServeOptions options,
                          std::shared_ptr<const ServingState> state)
     : options_(std::move(options)),
       state_(std::move(state)),
-      cache_(SketchCache::Options{options_.cache_shards, options_.cache_budget_bytes,
-                                  options_.near_miss_candidates,
-                                  options_.shared_cache_budget}),
-      batcher_(ScanBatcher::Options{options_.max_batch, options_.batch_window_us,
-                                    options_.scan_threads,
-                                    options_.engine.build.block_size}) {
+      cache_(SketchCache::Options{options_.cache_budget_bytes,
+                                  options_.shared_cache_budget}) {
   if (options_.metrics != nullptr) {
     scan_us_ = options_.metrics->histogram("ziggy_scan_us");
     sketch_lookup_us_ = options_.metrics->histogram("ziggy_sketch_lookup_us");
@@ -199,7 +195,7 @@ std::optional<ProvidedSketches> ZiggyServer::ProvideSketches(
     }
     if (options_.patch_near_misses) {
       const size_t budget = static_cast<size_t>(
-          options_.max_patch_fraction * static_cast<double>(selection.Count()));
+          kMaxPatchFraction * static_cast<double>(selection.Count()));
       size_t delta = 0;
       auto base = cache_.FindNearest(selection, state.generation(), budget, &delta);
       if (base != nullptr && delta > 0) {
@@ -233,20 +229,19 @@ std::optional<ProvidedSketches> ZiggyServer::ProvideSketches(
       }
     }
   }
-  bool coalesced = false;
   std::shared_ptr<const SelectionSketches> built;
   {
     obs::TraceSpan scan_span("scan", clock, scan_us_);
-    built = batcher_.Build(state.table(), *state.profile, state.generation(),
-                           selection, &coalesced);
+    built = std::make_shared<const SelectionSketches>(SelectionSketches::Build(
+        state.table(), *state.profile, selection,
+        options_.engine.build.num_threads, options_.engine.build.block_size));
   }
   if (options_.cache_enabled) {
     cache_.Insert(selection, fingerprint, built, state.generation());
   }
   sketch_misses_.fetch_add(1, std::memory_order_relaxed);
   out.inside = std::move(built);
-  out.source = SketchSource::kCoalescedScan;
-  out.coalesced = coalesced;
+  out.source = SketchSource::kScan;
   return out;
 }
 
@@ -346,10 +341,6 @@ ServeStats ZiggyServer::stats() const {
   st.sketch_patched_hits = sketch_patched_hits_.load(std::memory_order_relaxed);
   st.sketch_misses = sketch_misses_.load(std::memory_order_relaxed);
   st.patched_delta_rows = patched_delta_rows_.load(std::memory_order_relaxed);
-  const ScanBatcher::Stats scan = batcher_.stats();
-  st.scans = scan.scans;
-  st.coalesced_requests = scan.coalesced_requests;
-  st.max_batch_size = scan.max_batch_size;
   st.appends = appends_.load(std::memory_order_relaxed);
   st.appended_rows = appended_rows_.load(std::memory_order_relaxed);
   st.cache_flushes = cache_flushes_.load(std::memory_order_relaxed);

@@ -6,22 +6,24 @@
 // over that state concurrently. The design is three nested layers of
 // sharing:
 //
-//   per request   the engine's component cache (exact repeated query)
+//   per session   the engine's component cache (exact repeated query)
 //   per server    the SketchCache (same/overlapping selections across
 //                 sessions: exact fingerprint reuse + XOR-delta patching)
-//                 and the ScanBatcher (concurrent cold misses coalesce
-//                 into one blocked scan)
 //   per table     the profile/dendrogram snapshot, swapped atomically on
 //                 append; readers keep the generation they started on
+//
+// A request that misses every tier scans its own selection on the thread
+// that serves it; concurrent cold misses run side by side, none waits for
+// another's scan.
 //
 // Concurrency model: immutable snapshots + per-session locks + sharded
 // cache locks. A characterize request takes exactly one session mutex (its
 // own) and brief per-shard cache mutexes; appends build the next
 // generation off to the side and swap a pointer. Per-session results are
 // deterministic: they depend on the session's own request order, the
-// append schedule, and scan_threads — never on cross-session interleaving
-// (see tests/serve_stress_test.cc, which byte-matches a concurrent run
-// against a single-threaded replay).
+// append schedule, and engine.build.num_threads — never on cross-session
+// interleaving (see tests/serve_stress_test.cc, which byte-matches a
+// concurrent run against a single-threaded replay).
 
 #ifndef ZIGGY_SERVE_ZIGGY_SERVER_H_
 #define ZIGGY_SERVE_ZIGGY_SERVER_H_
@@ -39,7 +41,6 @@
 #include "obs/metrics.h"
 #include "engine/ziggy_engine.h"
 #include "persist/sketch_codec.h"
-#include "serve/scan_batcher.h"
 #include "serve/sketch_cache.h"
 #include "storage/snapshot.h"
 
@@ -51,7 +52,6 @@ struct ServeOptions {
   SessionOptions session;   ///< default novelty policy for new sessions
 
   bool cache_enabled = true;
-  size_t cache_shards = 8;
   size_t cache_budget_bytes = 64ull << 20;
   /// Group byte budget shared with other servers' sketch caches (set by
   /// ServerCatalog so N tables compete for one global ceiling instead of
@@ -61,17 +61,9 @@ struct ServeOptions {
   /// Reuse an overlapping cached selection by patching the XOR delta
   /// through AddRow/RemoveRow. Patching changes floating-point summation
   /// order (exact integer statistics are unaffected); disable for
-  /// bit-reproducible replays.
+  /// bit-reproducible replays. A patch is tried only when the delta is
+  /// below ZiggyServer::kMaxPatchFraction of the selection's cardinality.
   bool patch_near_misses = true;
-  /// Patch only when the delta is below this fraction of the selection's
-  /// cardinality (otherwise a fresh scan is cheaper).
-  double max_patch_fraction = 0.5;
-  /// MRU entries per cache shard examined as patch bases.
-  size_t near_miss_candidates = 8;
-
-  size_t scan_threads = 1;   ///< threads per (possibly shared) scan
-  size_t max_batch = 16;     ///< requests coalesced per scan
-  size_t batch_window_us = 0;///< leader's straggler wait (0 = none)
 
   /// Metrics registry to record scan / cache-lookup latency into
   /// (obs/metrics.h). Null (the stand-alone default) disables the
@@ -88,9 +80,6 @@ struct ServeStats {
   uint64_t sketch_patched_hits = 0;
   uint64_t sketch_misses = 0;
   uint64_t patched_delta_rows = 0;
-  uint64_t scans = 0;
-  uint64_t coalesced_requests = 0;
-  uint64_t max_batch_size = 0;
   uint64_t appends = 0;
   uint64_t appended_rows = 0;
   uint64_t cache_flushes = 0;
@@ -123,6 +112,11 @@ struct ServingState {
 /// thread-safe.
 class ZiggyServer {
  public:
+  /// Near-miss patching is tried only when the XOR delta is below this
+  /// fraction of the selection's cardinality (otherwise a fresh scan is
+  /// cheaper).
+  static constexpr double kMaxPatchFraction = 0.5;
+
   /// Profiles `table` (the one-off cost) and starts serving generation 0.
   static Result<std::unique_ptr<ZiggyServer>> Create(Table table,
                                                      ServeOptions options = {});
@@ -153,7 +147,7 @@ class ZiggyServer {
   size_t num_sessions() const;
 
   /// Characterizes a query inside a session: parse → evaluate on the
-  /// current snapshot → shared sketch cache / coalesced scan → view search
+  /// current snapshot → shared sketch cache / scan → view search
   /// → novelty policy.
   Result<Characterization> Characterize(uint64_t session_id,
                                         const std::string& query_text);
@@ -181,7 +175,7 @@ class ZiggyServer {
  private:
   struct Session {
     /// kSession: held across the whole Characterize (engine, sketch
-    /// provider, batcher); one session's lock at a time, below state_mu_.
+    /// provider, scan); one session's lock at a time, below state_mu_.
     mutable Mutex mu{LockRank::kSession, "server.session.mu"};
     uint64_t id = 0;
     SessionOptions options;
@@ -208,7 +202,7 @@ class ZiggyServer {
   /// Folds the session engine's cumulative cache counter deltas into the
   /// server-wide aggregates. Caller holds the session mutex.
   void FoldEngineCacheCounters(Session* session) ZIGGY_REQUIRES(session->mu);
-  /// The SketchProvider body: exact hit → near-miss patch → coalesced scan.
+  /// The SketchProvider body: exact hit → near-miss patch → scan.
   std::optional<ProvidedSketches> ProvideSketches(const ServingState& state,
                                                   const Selection& selection,
                                                   uint64_t fingerprint);
@@ -227,7 +221,6 @@ class ZiggyServer {
   std::atomic<uint64_t> next_session_id_{1};
 
   SketchCache cache_;
-  ScanBatcher batcher_;
 
   /// Resolved once from options_.metrics (null without a registry).
   obs::Histogram* scan_us_ = nullptr;

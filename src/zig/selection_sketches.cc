@@ -312,53 +312,6 @@ SelectionSketches SelectionSketches::Build(const Table& table,
   return out;
 }
 
-std::vector<SelectionSketches> SelectionSketches::BuildMany(
-    const Table& table, const TableProfile& profile,
-    const std::vector<const Selection*>& selections, size_t num_threads,
-    size_t block_rows) {
-  const size_t k = selections.size();
-  std::vector<SelectionSketches> outs(k);
-  if (k == 0) return outs;
-  const size_t num_words = selections[0]->num_words();
-  for (const Selection* s : selections) {
-    ZIGGY_CHECK(s != nullptr && s->num_words() == num_words);
-  }
-  for (SelectionSketches& o : outs) o.InitShapes(table, profile);
-  const size_t threads = EffectiveThreads(num_threads);
-  const size_t block_words = std::max<size_t>(
-      1, (block_rows == 0 ? kDefaultBlockRows : block_rows) / Selection::kWordBits);
-  if (threads <= 1 || num_words < 2) {
-    // Block-interleaved: every request consumes block [w, we) before any
-    // request moves past it.
-    for (size_t w = 0; w < num_words; w += block_words) {
-      const size_t we = std::min(w + block_words, num_words);
-      for (size_t i = 0; i < k; ++i) {
-        outs[i].AccumulateWordRange(table, profile, *selections[i], w, we,
-                                    block_rows);
-      }
-    }
-    return outs;
-  }
-  const std::vector<TaskRange> ranges = PartitionTasks(num_words, threads);
-  std::vector<std::vector<SelectionSketches>> partials(ranges.size());
-  ParallelFor(threads, num_words, [&](TaskRange range, size_t worker) {
-    std::vector<SelectionSketches>& mine = partials[worker];
-    mine.resize(k);
-    for (SelectionSketches& p : mine) p.InitShapes(table, profile);
-    for (size_t w = range.begin; w < range.end; w += block_words) {
-      const size_t we = std::min(w + block_words, range.end);
-      for (size_t i = 0; i < k; ++i) {
-        mine[i].AccumulateWordRange(table, profile, *selections[i], w, we,
-                                    block_rows);
-      }
-    }
-  });
-  for (std::vector<SelectionSketches>& part : partials) {
-    for (size_t i = 0; i < k; ++i) outs[i].Merge(part[i]);
-  }
-  return outs;
-}
-
 void SelectionSketches::DeriveAsComplement(const TableProfile& profile,
                                            const SelectionSketches& other) {
   const size_t m = profile.num_columns();

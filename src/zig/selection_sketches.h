@@ -73,20 +73,6 @@ class SelectionSketches {
   static SelectionSketches Build(const Table& table, const TableProfile& profile,
                                  const Selection& selection, size_t num_threads = 1,
                                  size_t block_rows = 0);
-
-  /// Coalesced construction for many selections in ONE pass over the
-  /// table: all requests advance block-by-block together, so each block of
-  /// column data is brought into cache once and feeds every request (the
-  /// serving layer's request batching). Selections must all span the same
-  /// row count. Each result is bit-identical to
-  /// Build(table, profile, *selections[k], num_threads, block_rows)
-  /// regardless of how many requests share the scan — partitioning is by
-  /// word range with per-thread partials merged in range order, exactly as
-  /// in Build — so coalescing is semantically invisible.
-  static std::vector<SelectionSketches> BuildMany(
-      const Table& table, const TableProfile& profile,
-      const std::vector<const Selection*>& selections, size_t num_threads = 1,
-      size_t block_rows = 0);
   /// @}
 
   /// \name Row-at-a-time path (incremental deltas).

@@ -65,6 +65,72 @@ std::string ReadFileOrDie(const std::string& path) {
   return buf.str();
 }
 
+// Leaf key paths of a JSON document in document order: nested object keys
+// join with '.', array elements add "[]". Values are skipped. Parses only
+// what the daemon renders (no whitespace between tokens).
+class JsonKeyPaths {
+ public:
+  static std::vector<std::string> Of(const std::string& json) {
+    JsonKeyPaths parser(json);
+    parser.Value("");
+    EXPECT_EQ(parser.pos_, json.size()) << "trailing bytes in " << json;
+    return std::move(parser.paths_);
+  }
+
+ private:
+  explicit JsonKeyPaths(const std::string& json) : json_(json) {}
+
+  bool Consume(char c) {
+    if (pos_ < json_.size() && json_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+
+  std::string String() {
+    std::string out;
+    EXPECT_TRUE(Consume('"')) << "expected a string at " << pos_;
+    while (pos_ < json_.size() && json_[pos_] != '"') {
+      if (json_[pos_] == '\\') ++pos_;
+      if (pos_ < json_.size()) out += json_[pos_++];
+    }
+    ++pos_;
+    return out;
+  }
+
+  void Value(const std::string& path) {
+    if (Consume('{')) {
+      if (Consume('}')) return;
+      do {
+        const std::string key = String();
+        EXPECT_TRUE(Consume(':')) << "expected ':' after " << key;
+        const std::string child = path.empty() ? key : path + "." + key;
+        if (pos_ < json_.size() && json_[pos_] != '{') paths_.push_back(child);
+        Value(child);
+      } while (Consume(','));
+      EXPECT_TRUE(Consume('}')) << "unterminated object at " << pos_;
+    } else if (Consume('[')) {
+      if (Consume(']')) return;
+      do {
+        Value(path + "[]");
+      } while (Consume(','));
+      EXPECT_TRUE(Consume(']')) << "unterminated array at " << pos_;
+    } else if (pos_ < json_.size() && json_[pos_] == '"') {
+      String();
+    } else {
+      while (pos_ < json_.size() && json_[pos_] != ',' && json_[pos_] != '}' &&
+             json_[pos_] != ']') {
+        ++pos_;
+      }
+    }
+  }
+
+  const std::string& json_;
+  size_t pos_ = 0;
+  std::vector<std::string> paths_;
+};
+
 // ---------------------------------------------------------------- sources --
 
 TEST(LoadTableFromSourceTest, DemoSourcesAndErrors) {
@@ -551,6 +617,60 @@ TEST_F(DaemonTcpTest, ServesGoldenOutputOverTheWire) {
       std::string(ZIGGY_SOURCE_DIR) + "/tests/golden/boxoffice_views.golden");
   EXPECT_EQ(*report, golden);
 
+  EXPECT_TRUE(client.Quit().ok());
+}
+
+// STATS replies are read by scripts and the benchmark runner, so their key
+// sets are pinned exactly (values are ignored): removing or renaming a key
+// has to be a deliberate edit here. Keys the benchmark reads include
+// sketch_{exact_hits,patched_hits,misses}, patched_delta_rows,
+// component_cache.{hits,misses}, sketch_cache.{evictions,entries,
+// bytes_in_use}, cache_{migrated_entries,flushes} and
+// store.{checkpoint_bytes,delta_checkpoints,full_checkpoints,compactions}.
+TEST_F(DaemonTcpTest, StatsKeySetsArePinned) {
+  StartDaemon();
+  ZiggyClient client;
+  ASSERT_TRUE(Connect(&client).ok());
+  ASSERT_TRUE(client.Open("box", "demo://boxoffice?seed=7").ok());
+  ASSERT_TRUE(client.Characterize("box", kBoxofficePredicate).ok());
+
+  auto table_stats = client.Stats("box");
+  ASSERT_TRUE(table_stats.ok()) << table_stats.status();
+  EXPECT_EQ(JsonKeyPaths::Of(*table_stats),
+            (std::vector<std::string>{
+                "generation", "sessions_opened", "requests", "failures",
+                "sketch_exact_hits", "sketch_patched_hits", "sketch_misses",
+                "patched_delta_rows", "appends", "appended_rows",
+                "cache_flushes", "cache_migrated_entries",
+                "cache_warmed_entries", "component_cache.hits",
+                "component_cache.misses", "component_cache.evictions",
+                "sketch_cache.hits", "sketch_cache.misses",
+                "sketch_cache.insertions", "sketch_cache.evictions",
+                "sketch_cache.bytes_in_use", "sketch_cache.entries"}));
+
+  auto catalog_stats = client.Stats();
+  ASSERT_TRUE(catalog_stats.ok()) << catalog_stats.status();
+  EXPECT_EQ(JsonKeyPaths::Of(*catalog_stats),
+            (std::vector<std::string>{
+                "tables", "tables_opened", "tables_closed",
+                "shared_budget_total_bytes", "shared_budget_used_bytes",
+                "worker_pool_threads", "store.attached", "store.tables",
+                "store.opens", "store.saves", "store.full_checkpoints",
+                "store.delta_checkpoints", "store.compactions",
+                "store.checkpoint_bytes", "store.compression",
+                "store.checkpoint_raw_bytes", "store.dict_pool.files",
+                "store.dict_pool.bytes", "store.dict_pool.shared_hits",
+                "flusher.active", "flusher.dirty_tables", "flusher.cycles",
+                "flusher.flushed_tables", "flusher.failures",
+                "flusher.backoff_tables", "flusher.degraded",
+                "flusher.consecutive_failures", "flusher.queue_depth",
+                "flusher.max_dirty_age_ms", "flusher.dirty",
+                "connections.accepted", "connections.rejected",
+                "connections.timed_out", "connections.live",
+                "connections.accept_retries", "connections.requests",
+                "connections.protocol_errors", "connections.reads_throttled",
+                "connections.pipelined_requests",
+                "connections.dispatch_batches"}));
   EXPECT_TRUE(client.Quit().ok());
 }
 

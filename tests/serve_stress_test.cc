@@ -2,10 +2,10 @@
 //
 // The central property: per-session results are a function of the
 // session's own request order, the append schedule, and the configured
-// scan thread count — never of cross-session interleaving, cache state,
-// or batching. The ByteMatch test drives N threads through phase-barriered
-// mixed traffic (characterize + appends + cache churn) and demands the
-// rendered results equal a single-threaded replay character for character.
+// scan thread count — never of cross-session interleaving or cache state.
+// The ByteMatch test drives N threads through phase-barriered mixed traffic
+// (characterize + appends + cache churn) and demands the rendered results
+// equal a single-threaded replay character for character.
 // (Near-miss patching is off there: patching changes floating-point
 // summation order by design; its own test checks exact invariants.)
 //
@@ -106,8 +106,6 @@ ServeOptions StressOptions() {
   options.engine.search.min_tightness = 0.25;
   options.engine.search.max_views = 6;
   options.patch_near_misses = false;  // bit-reproducibility
-  options.scan_threads = 1;
-  options.max_batch = 8;
   return options;
 }
 
@@ -267,51 +265,81 @@ TEST(ServeStressTest, PatchingTrafficKeepsExactInvariants) {
   EXPECT_EQ(stats.generation, 6u);
 }
 
-// The batcher must be a pure performance device: results equal solo
-// Build, and coalescing must actually occur under a straggler window.
-TEST(ServeStressTest, CoalescedScansMatchSoloBuilds) {
+// Cold misses scan on their own request threads, side by side. Sessions
+// released together send cold queries — distinct selections, plus one
+// selection sent by two sessions — and every reply must equal a fresh
+// single-threaded engine's. The duplicate pair only both miss when each
+// probes the cache before the other inserts, so rounds repeat on a fresh
+// server until that happens: the double insert must leave one entry,
+// counted once in bytes_in_use.
+TEST(ServeStressTest, ConcurrentColdMissesMatchFreshEngine) {
   const SyntheticDataset ds = MakeDataset();
-  auto profile_or = TableProfile::Compute(ds.table);
-  ASSERT_TRUE(profile_or.ok());
-  const TableProfile& profile = *profile_or;
+  const ServeOptions options = StressOptions();
+  const std::vector<std::string> distinct = {
+      ds.selection_predicate, "alpha_0 > 0.3", "beta_0 < -0.1"};
+  std::vector<std::string> queries = distinct;
+  queries.push_back(distinct[0]);  // the duplicate
 
-  ScanBatcher::Options opts;
-  opts.max_batch = kThreads;
-  opts.window_us = 100000;  // generous: all threads join one scan
-  opts.num_threads = 1;
-  ScanBatcher batcher(opts);
-
-  std::vector<Selection> selections;
-  for (size_t s = 0; s < kThreads; ++s) {
-    Selection sel(ds.table.num_rows());
-    for (size_t r = s; r < ds.table.num_rows(); r += s + 2) sel.Set(r);
-    selections.push_back(std::move(sel));
+  std::vector<std::string> expected;
+  for (const std::string& q : queries) {
+    auto engine = ZiggyEngine::Create(ds.table, options.engine);
+    ASSERT_TRUE(engine.ok());
+    Result<Characterization> r = engine->CharacterizeQuery(q);
+    ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+    expected.push_back(Render(*r));
   }
 
-  std::vector<std::shared_ptr<const SelectionSketches>> batched(kThreads);
-  std::barrier start(static_cast<std::ptrdiff_t>(kThreads));
-  std::vector<std::thread> workers;
-  for (size_t s = 0; s < kThreads; ++s) {
-    workers.emplace_back([&, s] {
-      start.arrive_and_wait();  // near-simultaneous arrival at the batcher
-      batched[s] = batcher.Build(ds.table, profile, /*generation=*/0,
-                                 selections[s], nullptr);
-    });
+  // What the distinct selections occupy when each is inserted once.
+  CacheStats solo_cache;
+  {
+    auto server = ZiggyServer::Create(ds.table, options);
+    ASSERT_TRUE(server.ok());
+    const uint64_t sid = (*server)->OpenSession();
+    for (const std::string& q : distinct) {
+      ASSERT_TRUE((*server)->Characterize(sid, q).ok());
+    }
+    solo_cache = (*server)->stats().cache;
+    ASSERT_EQ(solo_cache.entries, distinct.size());
   }
-  for (auto& w : workers) w.join();
 
-  for (size_t s = 0; s < kThreads; ++s) {
-    const SelectionSketches solo =
-        SelectionSketches::Build(ds.table, profile, selections[s], 1);
-    for (size_t c = 0; c < ds.table.num_columns(); ++c) {
-      EXPECT_EQ(batched[s]->column_sketch(c).count, solo.column_sketch(c).count);
-      EXPECT_EQ(batched[s]->column_sketch(c).sum, solo.column_sketch(c).sum);
-      EXPECT_EQ(batched[s]->column_sketch(c).sum_sq, solo.column_sketch(c).sum_sq);
+  constexpr size_t kMaxRounds = 200;
+  bool overlapped = false;
+  for (size_t round = 0; round < kMaxRounds && !overlapped; ++round) {
+    auto server_or = ZiggyServer::Create(ds.table, options);
+    ASSERT_TRUE(server_or.ok());
+    ZiggyServer* server = server_or->get();
+    std::vector<uint64_t> sessions;
+    for (size_t s = 0; s < queries.size(); ++s) {
+      sessions.push_back(server->OpenSession());
+    }
+
+    std::vector<std::string> replies(queries.size());
+    std::barrier start(static_cast<std::ptrdiff_t>(queries.size()));
+    std::vector<std::thread> workers;
+    for (size_t s = 0; s < queries.size(); ++s) {
+      workers.emplace_back([&, s] {
+        start.arrive_and_wait();
+        Result<Characterization> r = server->Characterize(sessions[s], queries[s]);
+        replies[s] = r.ok() ? Render(*r) : "error: " + r.status().ToString();
+      });
+    }
+    for (auto& w : workers) w.join();
+    for (size_t s = 0; s < queries.size(); ++s) {
+      ASSERT_EQ(replies[s], expected[s]) << "round " << round << " session " << s;
+    }
+
+    const ServeStats stats = server->stats();
+    ASSERT_EQ(stats.sketch_patched_hits, 0u);
+    ASSERT_EQ(stats.sketch_misses + stats.sketch_exact_hits, queries.size());
+    ASSERT_EQ(stats.cache.entries, distinct.size());
+    ASSERT_EQ(stats.cache.bytes_in_use, solo_cache.bytes_in_use);
+    if (stats.sketch_misses == queries.size()) {
+      overlapped = true;
+      EXPECT_EQ(stats.cache.insertions, queries.size());
     }
   }
-  const ScanBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.requests, kThreads);
-  EXPECT_GE(stats.max_batch_size, 2u);
+  EXPECT_TRUE(overlapped) << "the duplicate requests never both missed in "
+                          << kMaxRounds << " rounds";
 }
 
 // Session isolation: one session's novelty state must not leak into

@@ -262,9 +262,6 @@ void PrintServeStats(const ServeStats& st) {
             << "component cache: " << st.component_cache_hits << " hits, "
             << st.component_cache_misses << " misses, "
             << st.component_cache_evictions << " evictions\n"
-            << "scans " << st.scans << ", coalesced requests "
-            << st.coalesced_requests << " (max batch " << st.max_batch_size
-            << ")\n"
             << "appends " << st.appends << " (" << st.appended_rows << " rows)\n";
 }
 
@@ -289,7 +286,6 @@ int RunServe(int argc, char** argv) {
     } else if (arg == "--threads") {
       double v = 0;
       if (!next_double(&v) || v < 0) return Usage();
-      options.scan_threads = static_cast<size_t>(v);
       options.engine.build.num_threads = static_cast<size_t>(v);
       options.engine.profile.num_threads = static_cast<size_t>(v);
     } else if (arg == "--cache-mb") {
@@ -345,7 +341,6 @@ int RunServe(int argc, char** argv) {
         continue;
       }
       std::cout << "[sketches: " << SketchSourceToString(result->sketch_source)
-                << (result->coalesced ? ", coalesced" : "")
                 << (result->cache_hit ? ", component-cache hit" : "") << "]\n";
       if (json) {
         std::cout << CharacterizationToJson(*result,

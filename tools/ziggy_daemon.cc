@@ -145,7 +145,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       size_t threads = 0;
       if (!next_size(&threads)) return Usage();
-      options.catalog.serve.scan_threads = threads;
       options.catalog.serve.engine.build.num_threads = threads;
       options.catalog.serve.engine.profile.num_threads = threads;
     } else if (arg == "--cache-mb") {
