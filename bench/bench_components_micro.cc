@@ -150,7 +150,8 @@ void BM_ProfileSerialize(benchmark::State& state) {
   for (auto _ : state) {
     std::stringstream buf;
     profile.Serialize(&buf);
-    benchmark::DoNotOptimize(TableProfile::Deserialize(&buf).ValueOrDie());
+    benchmark::DoNotOptimize(
+        TableProfile::Deserialize(&buf, ds.table).ValueOrDie());
   }
 }
 BENCHMARK(BM_ProfileSerialize);

@@ -496,11 +496,8 @@ Result<StoredTable> ZiggyStore::LoadTable(const std::string& name,
   }
   ZIGGY_ASSIGN_OR_RETURN(
       stored.profile,
-      TableProfile::LoadFromFile(ProfilePath(name, entry.generation)));
-  if (stored.profile.num_columns() != stored.table.num_columns()) {
-    return Status::ParseError(
-        "stored profile column count disagrees with the table");
-  }
+      TableProfile::LoadFromFile(ProfilePath(name, entry.generation),
+                                 stored.table));
 
   if (entry.has_sketches) {
     Result<LoadedSketches> loaded = ReadSketchesFile(

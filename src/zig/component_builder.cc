@@ -76,35 +76,24 @@ double CramersVFromTable(const std::vector<int64_t>& table, size_t rows, size_t 
   return std::sqrt(std::clamp(chi2 / (static_cast<double>(n) * k), 0.0, 1.0));
 }
 
-// Mann-Whitney U (pairs where inside > outside, ties = 1/2) computed in one
-// walk over the profile-cached ascending sort order.
-void MannWhitneyU(const std::vector<double>& data, const std::vector<uint32_t>& order,
-                  const Selection& selection, double* u, int64_t* n_in,
-                  int64_t* n_out) {
-  *u = 0.0;
-  *n_in = 0;
-  *n_out = 0;
-  int64_t outside_before = 0;
-  size_t i = 0;
-  while (i < order.size()) {
-    size_t j = i;
-    while (j + 1 < order.size() && data[order[j + 1]] == data[order[i]]) ++j;
-    int64_t g_in = 0;
-    int64_t g_out = 0;
-    for (size_t k = i; k <= j; ++k) {
-      if (selection.Contains(order[k])) {
-        ++g_in;
-      } else {
-        ++g_out;
-      }
-    }
-    *u += static_cast<double>(g_in) * static_cast<double>(outside_before) +
-          0.5 * static_cast<double>(g_in) * static_cast<double>(g_out);
-    outside_before += g_out;
-    *n_in += g_in;
-    *n_out += g_out;
-    i = j + 1;
+// Mann-Whitney U (pairs where inside > outside, ties = 1/2) by the rank-sum
+// identity U = R_in - n_in(n_in + 1)/2, where R_in sums the selected rows'
+// midranks over the column's non-NULL values. With doubled midranks the
+// sum is an integer and U is exact. NULL rows carry midrank 0 and count on
+// neither side.
+void RankSumU(const std::vector<uint32_t>& rank2, size_t non_null,
+              const std::vector<uint32_t>& selected_rows, double* u,
+              int64_t* n_in, int64_t* n_out) {
+  uint64_t sum = 0;
+  uint64_t n = 0;
+  for (uint32_t r : selected_rows) {
+    const uint32_t v = rank2[r];
+    sum += v;
+    n += static_cast<uint64_t>(v != 0);
   }
+  *u = static_cast<double>(sum - n * (n + 1)) * 0.5;
+  *n_in = static_cast<int64_t>(n);
+  *n_out = static_cast<int64_t>(non_null - n);
 }
 
 }  // namespace
@@ -118,6 +107,14 @@ Result<ComponentTable> BuildComponentsFromSketches(
   out.set_counts(static_cast<int64_t>(inside_n),
                  static_cast<int64_t>(table.num_rows() - inside_n));
   const int64_t kMin = options.min_side_rows;
+  // Row ids of the selection, decoded once for every rank-shift gather.
+  std::vector<uint32_t> selected_rows;
+  if (options.enable_rank_shift) {
+    selected_rows.reserve(inside_n);
+    selection.ForEachSetBit([&selected_rows](size_t r) {
+      selected_rows.push_back(static_cast<uint32_t>(r));
+    });
+  }
 
   // ---- Unary components ---------------------------------------------------
   for (size_t c = 0; c < table.num_columns(); ++c) {
@@ -150,12 +147,12 @@ Result<ComponentTable> BuildComponentsFromSketches(
       disp_c.p_value = VarianceFTest(in_s, out_s).p_value;
       out.Add(std::move(disp_c));
 
-      if (options.enable_rank_shift && !profile.SortOrder(c).empty()) {
+      if (options.enable_rank_shift && !profile.DoubledMidranks(c).empty()) {
         double u = 0.0;
         int64_t rn_in = 0;
         int64_t rn_out = 0;
-        MannWhitneyU(col.numeric_data(), profile.SortOrder(c), selection, &u, &rn_in,
-                     &rn_out);
+        RankSumU(profile.DoubledMidranks(c), profile.SortOrder(c).size(),
+                 selected_rows, &u, &rn_in, &rn_out);
         if (rn_in >= kMin && rn_out >= kMin) {
           ZigComponent rank_c;
           rank_c.kind = ComponentKind::kRankShift;

@@ -15,6 +15,11 @@
 //    overlap, the cached inside sketches of the previous query are patched
 //    by adding/removing only the rows in the symmetric difference. Cost is
 //    O(|S_prev XOR S_new| * M).
+//
+// Whatever the strategy, the rank-shift component costs one gather of the
+// selected rows' profile midranks per numeric column, O(|selection| * M):
+// its Mann-Whitney U is a rank sum, so the complement is never visited.
+// The remaining assembly is O(M + tracked pairs), independent of N.
 
 #ifndef ZIGGY_ZIG_COMPONENT_BUILDER_H_
 #define ZIGGY_ZIG_COMPONENT_BUILDER_H_
@@ -43,8 +48,8 @@ struct ComponentBuildOptions {
   /// (effect sizes on tiny samples are pure noise).
   int64_t min_side_rows = 3;
   /// Compute the rank-shift (Cliff's delta) component. Requires the
-  /// profile to cache sort orders; costs one O(N) pass per numeric column
-  /// per query.
+  /// profile to cache sort orders (and with them the midranks); costs one
+  /// O(|selection|) midrank gather per numeric column per query.
   bool enable_rank_shift = true;
   /// Compute the distribution-shift (histogram TV) component. Requires
   /// profile histograms.
@@ -78,7 +83,7 @@ Result<ComponentTable> BuildComponents(const Table& table, const TableProfile& p
                                        const ComponentBuildOptions& options = {});
 
 /// \brief Core assembly: derives/accepts both sides and emits components.
-/// `selection` is still needed for the rank-shift pass. Exposed for the
+/// `selection` is still needed for the rank-shift gather. Exposed for the
 /// Preparer and for tests.
 Result<ComponentTable> BuildComponentsFromSketches(
     const Table& table, const TableProfile& profile, const Selection& selection,

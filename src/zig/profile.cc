@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -70,6 +71,48 @@ size_t HistogramBinOf(double v, double lo, double hi, size_t bins) {
   return HistogramBinner::Make(lo, hi, bins).BinOf(v);
 }
 
+bool TableProfile::DeriveDoubledMidranks(const std::vector<double>& data,
+                                         const std::vector<uint32_t>& order,
+                                         std::vector<uint32_t>* rank2) {
+  const size_t n = order.size();
+  // i + j + 2 <= 2n must fit a uint32_t.
+  if (n > std::numeric_limits<uint32_t>::max() / 2) return false;
+  // `order` must list every non-NULL row: as many entries as there are
+  // such rows, and (checked below) each one once, in ascending order.
+  size_t non_null = 0;
+  for (double v : data) non_null += IsNullNumeric(v) ? 0 : 1;
+  if (non_null != n) return false;
+  rank2->assign(data.size(), 0);
+  if (n == 0) return true;
+  if (order[0] >= data.size()) return false;
+  // Forward: the first sort position of each position's tie run, while
+  // checking that `order` ascends strictly by (value, row id). Tie runs
+  // are too irregular to branch on, so the run start is selected by mask.
+  std::vector<uint32_t> run_start(n, 0);
+  double prev = data[order[0]];
+  bool bad = IsNullNumeric(prev);
+  uint32_t start = 0;
+  for (size_t k = 1; k < n; ++k) {
+    const uint32_t row = order[k];
+    if (row >= data.size()) return false;
+    const double v = data[row];
+    const bool tie = v == prev;
+    bad |= IsNullNumeric(v) | (v < prev) | (tie & (row <= order[k - 1]));
+    const uint32_t keep = 0u - static_cast<uint32_t>(tie);
+    start = (start & keep) | (static_cast<uint32_t>(k) & ~keep);
+    run_start[k] = start;
+    prev = v;
+  }
+  if (bad) return false;
+  // Backward: a run over positions i..j gets i + j + 2.
+  size_t end = n - 1;
+  for (size_t k = n; k-- > 0;) {
+    (*rank2)[order[k]] = static_cast<uint32_t>(run_start[k] + end + 2);
+    end = run_start[k] == k ? k - 1 : end;
+  }
+  return true;
+}
+
 Result<TableProfile> TableProfile::Compute(const Table& table, ProfileOptions options) {
   if (table.num_columns() == 0) {
     return Status::InvalidArgument("cannot profile a table with no columns");
@@ -82,6 +125,7 @@ Result<TableProfile> TableProfile::Compute(const Table& table, ProfileOptions op
   p.category_counts_.resize(m);
   p.ranges_.assign(m, {0.0, 0.0});
   p.sort_orders_.resize(m);
+  p.doubled_midranks_.resize(m);
   p.histograms_.resize(m);
   p.dependency_.assign(m * m, 0.0);
   p.numeric_pair_index_.assign(m * m, -1);
@@ -120,6 +164,9 @@ Result<TableProfile> TableProfile::Compute(const Table& table, ProfileOptions op
         std::sort(order.begin(), order.end(), [&data](uint32_t a, uint32_t b) {
           return data[a] < data[b] || (data[a] == data[b] && a < b);
         });
+        const bool derived =
+            DeriveDoubledMidranks(data, order, &p.doubled_midranks_[c]);
+        ZIGGY_CHECK(derived);
       }
       if (options.histogram_bins > 0) {
         auto& hist = p.histograms_[c];
@@ -336,6 +383,9 @@ Result<ProfileAppendEffects> TableProfile::ApplyAppend(const Table& new_table,
         std::inplace_merge(order.begin(),
                            order.begin() + static_cast<int64_t>(old_size),
                            order.end(), by_value);
+        const bool derived =
+            DeriveDoubledMidranks(data, order, &doubled_midranks_[c]);
+        ZIGGY_CHECK(derived);
       }
       if (!histograms_[c].empty()) {
         auto& hist = histograms_[c];
@@ -453,6 +503,9 @@ size_t TableProfile::MemoryUsageBytes() const {
   bytes += column_sketches_.capacity() * sizeof(MomentSketch);
   for (const auto& v : category_counts_) bytes += v.capacity() * sizeof(int64_t);
   for (const auto& v : sort_orders_) bytes += v.capacity() * sizeof(uint32_t);
+  for (const auto& v : doubled_midranks_) {
+    bytes += v.capacity() * sizeof(uint32_t);
+  }
   for (const auto& v : histograms_) bytes += v.capacity() * sizeof(int64_t);
   bytes += dependency_.capacity() * sizeof(double);
   bytes += numeric_pair_index_.capacity() * sizeof(int64_t);

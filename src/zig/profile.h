@@ -36,8 +36,9 @@ struct ProfileOptions {
   /// Hard cap on tracked pairs (safety valve for very wide tables). Pairs
   /// with the highest dependency are kept.
   size_t max_tracked_pairs = 250000;
-  /// Cache the per-column sort order (row ids ascending by value). Needed
-  /// by the rank-shift component; costs ~4 bytes/cell.
+  /// Cache the per-column sort order (row ids ascending by value) and the
+  /// per-row midranks derived from it. Needed by the rank-shift component;
+  /// costs ~8 bytes/cell (4 persisted, 4 re-derived in memory).
   bool cache_sort_orders = true;
   /// Bins of the per-column global histograms backing the
   /// distribution-shift component (0 disables).
@@ -123,7 +124,8 @@ class TableProfile {
   /// a fresh Compute over the grown table: column/pair moment sketches
   /// (appended values extend the same ascending-row summation chains),
   /// category counts, histograms (rebuilt per column when its range grew),
-  /// cached sort orders (sorted appended run merged in), and the
+  /// cached sort orders (sorted appended run merged in, midranks
+  /// re-derived from the merged order), and the
   /// dependency entries + statistics of every *tracked* pair. Two things
   /// are frozen at build time, by design: the tracked-pair membership and
   /// the dependency entries of untracked pairs (refreshing those would
@@ -149,6 +151,17 @@ class TableProfile {
   /// Row ids of numeric column `col` sorted ascending by value, NULL rows
   /// excluded. Empty when cache_sort_orders is off or `col` is categorical.
   const std::vector<uint32_t>& SortOrder(size_t col) const { return sort_orders_[col]; }
+
+  /// Doubled midrank of every row of numeric column `col`, indexed by row
+  /// id: a tie run over sort positions i..j (0-based) gets i + j + 2, so
+  /// every value is an integer, and NULL rows get 0. Summed over a
+  /// selection it gives twice the selection's rank sum, and from that the
+  /// Mann-Whitney U statistic, in O(|selection|).
+  /// Derived from SortOrder (never persisted); empty exactly when
+  /// SortOrder's cache is off or `col` is categorical.
+  const std::vector<uint32_t>& DoubledMidranks(size_t col) const {
+    return doubled_midranks_[col];
+  }
 
   /// Global equi-width histogram counts of numeric column `col` over
   /// ColumnRange(col); empty when histogram_bins == 0 or categorical.
@@ -194,22 +207,38 @@ class TableProfile {
   /// Profiles are expensive to compute on wide tables (the one-off cost of
   /// an exploration session); persisting them lets a session resume
   /// instantly. The format is a version-tagged little-endian binary dump.
+  /// Loading takes the table the profile was computed from: the midranks
+  /// are re-derived from the persisted sort orders, and ties can only be
+  /// told apart by value. A profile whose shape or sort orders do not fit
+  /// `table` is rejected with a ParseError.
   /// @{
   Status Serialize(std::ostream* out) const;
-  static Result<TableProfile> Deserialize(std::istream* in);
+  static Result<TableProfile> Deserialize(std::istream* in,
+                                          const Table& table);
   Status SaveToFile(const std::string& path) const;
-  static Result<TableProfile> LoadFromFile(const std::string& path);
+  static Result<TableProfile> LoadFromFile(const std::string& path,
+                                           const Table& table);
   /// Structural and numerical equality (used to validate round trips).
   bool Equals(const TableProfile& other) const;
   /// @}
 
  private:
+  // Fills `rank2` (one slot per row of `data`) with the doubled midranks
+  // of `order`. Returns false, leaving `rank2` unspecified, unless `order`
+  // lists exactly the non-NULL row ids of `data`, strictly ascending by
+  // (value, row id) — the order Compute builds — so a corrupt persisted
+  // order is caught here rather than read out of bounds.
+  static bool DeriveDoubledMidranks(const std::vector<double>& data,
+                                    const std::vector<uint32_t>& order,
+                                    std::vector<uint32_t>* rank2);
+
   size_t num_columns_ = 0;
   ProfileOptions options_;
   std::vector<MomentSketch> column_sketches_;
   std::vector<std::vector<int64_t>> category_counts_;
   std::vector<std::pair<double, double>> ranges_;
   std::vector<std::vector<uint32_t>> sort_orders_;
+  std::vector<std::vector<uint32_t>> doubled_midranks_;  // derived, in memory
   std::vector<std::vector<int64_t>> histograms_;
   std::vector<double> dependency_;  // dense num_columns^2, symmetric
 

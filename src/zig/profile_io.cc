@@ -1,6 +1,7 @@
 // Binary serialization of TableProfile (see profile.h). Format:
-//   magic "ZIGPROF1" | options | column count | per-field arrays,
-// all little-endian, every array length-prefixed with a u64.
+//   magic "ZIGPROF2" | options | column count | per-field arrays,
+// all little-endian, every array length-prefixed with a u64. The midranks
+// are derived data and are rebuilt on load, not written.
 
 #include <cstring>
 #include <fstream>
@@ -192,7 +193,8 @@ Status TableProfile::Serialize(std::ostream* out) const {
   return Status::OK();
 }
 
-Result<TableProfile> TableProfile::Deserialize(std::istream* in) {
+Result<TableProfile> TableProfile::Deserialize(std::istream* in,
+                                               const Table& table) {
   if (in == nullptr) return Status::InvalidArgument("null input stream");
   char magic[8];
   ZIGGY_RETURN_NOT_OK(ReadRaw(in, magic, sizeof(magic)));
@@ -291,12 +293,37 @@ Result<TableProfile> TableProfile::Deserialize(std::istream* in) {
   // Structural consistency checks.
   const size_t mm = p.num_columns_;
   if (p.column_sketches_.size() != mm || p.category_counts_.size() != mm ||
-      p.ranges_.size() != mm || p.dependency_.size() != mm * mm ||
+      p.ranges_.size() != mm || p.sort_orders_.size() != mm ||
+      p.histograms_.size() != mm || p.dependency_.size() != mm * mm ||
       p.numeric_pair_index_.size() != mm * mm ||
       p.numeric_pair_sketches_.size() != p.tracked_numeric_pairs_.size() ||
       p.mixed_pair_groups_.size() != p.tracked_mixed_pairs_.size() ||
       p.categorical_pair_tables_.size() != p.tracked_categorical_pairs_.size()) {
     return Status::ParseError("inconsistent profile stream");
+  }
+
+  // The midranks are not persisted: re-derive them from the sort orders,
+  // which must fit `table` exactly (one entry per non-NULL cell, ascending
+  // by value).
+  if (table.num_columns() != mm) {
+    return Status::ParseError("profile column count disagrees with the table");
+  }
+  p.doubled_midranks_.resize(mm);
+  for (size_t c = 0; c < mm; ++c) {
+    const Column& col = table.column(c);
+    const auto& order = p.sort_orders_[c];
+    if (!p.options_.cache_sort_orders || !col.is_numeric()) {
+      if (!order.empty()) {
+        return Status::ParseError("unexpected sort order for column '" +
+                                  col.name() + "'");
+      }
+      continue;
+    }
+    if (!DeriveDoubledMidranks(col.numeric_data(), order,
+                               &p.doubled_midranks_[c])) {
+      return Status::ParseError("sort order of column '" + col.name() +
+                                "' does not fit the table");
+    }
   }
   return p;
 }
@@ -307,10 +334,11 @@ Status TableProfile::SaveToFile(const std::string& path) const {
   return Serialize(&out);
 }
 
-Result<TableProfile> TableProfile::LoadFromFile(const std::string& path) {
+Result<TableProfile> TableProfile::LoadFromFile(const std::string& path,
+                                                const Table& table) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open '" + path + "'");
-  return Deserialize(&in);
+  return Deserialize(&in, table);
 }
 
 bool TableProfile::Equals(const TableProfile& other) const {
@@ -325,6 +353,7 @@ bool TableProfile::Equals(const TableProfile& other) const {
   if (category_counts_ != other.category_counts_) return false;
   if (ranges_ != other.ranges_) return false;
   if (sort_orders_ != other.sort_orders_) return false;
+  if (doubled_midranks_ != other.doubled_midranks_) return false;
   if (histograms_ != other.histograms_) return false;
   if (dependency_ != other.dependency_) return false;
   if (tracked_numeric_pairs_ != other.tracked_numeric_pairs_) return false;

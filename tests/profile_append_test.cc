@@ -2,10 +2,11 @@
 //
 // The serving layer's append path leans on a strong claim: everything the
 // delta machinery reaches is updated *bit-identically* to recomputing from
-// scratch (same summation chains, same sort order after the tiebreak, same
-// refreshed dependencies for tracked pairs). With the pair-tracking floor
-// at 0 every pair is tracked, nothing is frozen, and the claim upgrades to
-// full TableProfile::Equals — which these tests assert.
+// scratch (same summation chains, same sort order after the tiebreak and
+// so the same midranks, same refreshed dependencies for tracked pairs).
+// With the pair-tracking floor at 0 every pair is tracked, nothing is
+// frozen, and the claim upgrades to full TableProfile::Equals — which these
+// tests assert.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 
 #include "common/random.h"
 #include "storage/table.h"
+#include "storage/types.h"
 #include "zig/profile.h"
 
 namespace ziggy {
@@ -151,6 +153,72 @@ TEST(ProfileAppendTest, ChainedAppendsStayExact) {
   auto fresh = TableProfile::Compute(current, TrackEverything());
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(profile->Equals(*fresh));
+}
+
+// Doubled midrank from the definition: 2 * (#values below) + (#equal
+// values, the row itself included) + 1; 0 for NULL.
+std::vector<uint32_t> NaiveDoubledMidranks(const std::vector<double>& data) {
+  std::vector<uint32_t> out(data.size(), 0);
+  for (size_t r = 0; r < data.size(); ++r) {
+    if (IsNullNumeric(data[r])) continue;
+    uint32_t below = 0;
+    uint32_t equal = 0;
+    for (double v : data) {
+      if (IsNullNumeric(v)) continue;
+      below += v < data[r] ? 1 : 0;
+      equal += v == data[r] ? 1 : 0;
+    }
+    out[r] = 2 * below + equal + 1;
+  }
+  return out;
+}
+
+TEST(ProfileAppendTest, TieHeavyAppendWithNullAndNewMinimumMatches) {
+  // Values quantized to one decimal: long tie runs in every numeric column.
+  Rng rng(17);
+  const size_t rows = 150;
+  std::vector<double> a(rows);
+  std::vector<double> b(rows);
+  std::vector<std::string> g(rows);
+  const char* labels[] = {"g0", "g1", "g2"};
+  for (size_t i = 0; i < rows; ++i) {
+    a[i] = std::round(rng.Uniform(0.0, 2.0) * 10.0) / 10.0;
+    b[i] = std::round((a[i] + rng.Uniform(-0.5, 0.5)) * 10.0) / 10.0;
+    g[i] = labels[rng.UniformInt(0, 2)];
+  }
+  const std::vector<double> base_a = a;
+  auto base = Table::FromColumns({Column::FromNumeric("a", a),
+                                  Column::FromNumeric("b", b),
+                                  Column::FromStrings("g", g)});
+  ASSERT_TRUE(base.ok());
+  // Tail: values equal to existing ones (joining tie runs at both ends
+  // and in the middle), a NULL, and a new minimum of b.
+  auto tail = Table::FromColumns({
+      Column::FromNumeric("a", {base_a[0], base_a[1], NullNumeric(), 0.0,
+                                2.0, base_a[2]}),
+      Column::FromNumeric("b", {b[3], -3.0, b[4], b[4], b[5], b[0]}),
+      Column::FromStrings("g", {"g1", "g0", "g2", "g1", "g0", "g2"}),
+  });
+  ASSERT_TRUE(tail.ok());
+  auto grown = base->WithAppendedRows(*tail);
+  ASSERT_TRUE(grown.ok());
+
+  auto incremental = TableProfile::Compute(*base, TrackEverything());
+  ASSERT_TRUE(incremental.ok());
+  auto effects = incremental->ApplyAppend(*grown, base->num_rows());
+  ASSERT_TRUE(effects.ok());
+  EXPECT_TRUE(effects->ranges_extended);  // b's new minimum
+
+  auto fresh = TableProfile::Compute(*grown, TrackEverything());
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE(incremental->Equals(*fresh));
+  for (size_t c : {size_t{0}, size_t{1}}) {
+    EXPECT_EQ(incremental->DoubledMidranks(c),
+              NaiveDoubledMidranks(grown->column(c).numeric_data()))
+        << "column " << c;
+  }
+  EXPECT_EQ(incremental->DoubledMidranks(0)[base->num_rows() + 2], 0u);
+  EXPECT_TRUE(incremental->DoubledMidranks(2).empty());  // categorical
 }
 
 TEST(ProfileAppendTest, RejectsMalformedAppends) {

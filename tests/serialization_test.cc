@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/random.h"
 #include "data/synthetic.h"
 #include "engine/json.h"
 #include "engine/ziggy_engine.h"
@@ -22,10 +23,51 @@ TEST(ProfileSerializationTest, StreamRoundTripIsExact) {
   TableProfile original = TableProfile::Compute(ds.table).ValueOrDie();
   std::stringstream buf;
   ASSERT_TRUE(original.Serialize(&buf).ok());
-  TableProfile restored = TableProfile::Deserialize(&buf).ValueOrDie();
+  TableProfile restored =
+      TableProfile::Deserialize(&buf, ds.table).ValueOrDie();
   EXPECT_TRUE(original.Equals(restored));
   EXPECT_EQ(restored.num_columns(), original.num_columns());
   EXPECT_EQ(restored.tracked_numeric_pairs(), original.tracked_numeric_pairs());
+  // Midranks are not in the stream: Deserialize re-derives them from the
+  // persisted sort orders and the table, and must land on the same bits.
+  for (size_t c = 0; c < ds.table.num_columns(); ++c) {
+    EXPECT_EQ(restored.DoubledMidranks(c), original.DoubledMidranks(c))
+        << "column " << c;
+    EXPECT_EQ(restored.DoubledMidranks(c).size(),
+              ds.table.column(c).is_numeric() ? ds.table.num_rows() : 0u);
+  }
+}
+
+TEST(ProfileSerializationTest, LoadRejectsATableTheProfileDoesNotFit) {
+  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
+  TableProfile original = TableProfile::Compute(ds.table).ValueOrDie();
+  std::stringstream buf;
+  ASSERT_TRUE(original.Serialize(&buf).ok());
+  const std::string bytes = buf.str();
+
+  // Same schema and row count, other values (another seed): the stored
+  // sort orders no longer ascend by value, so midranks cannot be derived
+  // and the load fails cleanly.
+  const Table reseeded = MakeBoxOfficeDataset(8)->table;
+  ASSERT_EQ(reseeded.num_rows(), ds.table.num_rows());
+  std::stringstream in_reseeded(bytes);
+  EXPECT_TRUE(TableProfile::Deserialize(&in_reseeded, reseeded)
+                  .status()
+                  .IsParseError());
+
+  // Fewer rows: stored row ids fall outside the table.
+  Rng rng(7);
+  const Table shorter = ds.table.SampleRows(ds.table.num_rows() / 2, &rng);
+  std::stringstream in_shorter(bytes);
+  EXPECT_TRUE(
+      TableProfile::Deserialize(&in_shorter, shorter).status().IsParseError());
+
+  // A different schema altogether.
+  SyntheticDataset other = MakeCrimeDataset().ValueOrDie();
+  std::stringstream in_other(bytes);
+  EXPECT_TRUE(TableProfile::Deserialize(&in_other, other.table)
+                  .status()
+                  .IsParseError());
 }
 
 TEST(ProfileSerializationTest, RestoredProfileProducesIdenticalComponents) {
@@ -33,7 +75,8 @@ TEST(ProfileSerializationTest, RestoredProfileProducesIdenticalComponents) {
   TableProfile original = TableProfile::Compute(ds.table).ValueOrDie();
   std::stringstream buf;
   ASSERT_TRUE(original.Serialize(&buf).ok());
-  TableProfile restored = TableProfile::Deserialize(&buf).ValueOrDie();
+  TableProfile restored =
+      TableProfile::Deserialize(&buf, ds.table).ValueOrDie();
 
   ComponentTable a = BuildComponents(ds.table, original, ds.planted).ValueOrDie();
   ComponentTable b = BuildComponents(ds.table, restored, ds.planted).ValueOrDie();
@@ -49,7 +92,8 @@ TEST(ProfileSerializationTest, FileRoundTrip) {
   TableProfile original = TableProfile::Compute(ds.table).ValueOrDie();
   const std::string path = testing::TempDir() + "/ziggy_profile_test.bin";
   ASSERT_TRUE(original.SaveToFile(path).ok());
-  TableProfile restored = TableProfile::LoadFromFile(path).ValueOrDie();
+  TableProfile restored =
+      TableProfile::LoadFromFile(path, ds.table).ValueOrDie();
   EXPECT_TRUE(original.Equals(restored));
   std::remove(path.c_str());
 }
@@ -57,7 +101,10 @@ TEST(ProfileSerializationTest, FileRoundTrip) {
 TEST(ProfileSerializationTest, BadMagicRejected) {
   std::stringstream buf;
   buf << "NOTAPROF-and-some-garbage-bytes-here";
-  EXPECT_TRUE(TableProfile::Deserialize(&buf).status().IsParseError());
+  EXPECT_TRUE(
+      TableProfile::Deserialize(&buf, MakeBoxOfficeDataset()->table)
+          .status()
+          .IsParseError());
 }
 
 TEST(ProfileSerializationTest, LegacyVersionGetsExplicitMismatchError) {
@@ -67,7 +114,8 @@ TEST(ProfileSerializationTest, LegacyVersionGetsExplicitMismatchError) {
   // generic bad-magic ParseError an unrelated file gets.
   std::stringstream v1;
   v1 << "ZIGPROF1" << std::string(64, '\0');
-  Status st = TableProfile::Deserialize(&v1).status();
+  const Table table = MakeBoxOfficeDataset()->table;
+  Status st = TableProfile::Deserialize(&v1, table).status();
   EXPECT_TRUE(st.IsFailedPrecondition()) << st;
   EXPECT_NE(st.message().find("version"), std::string::npos);
   EXPECT_NE(st.message().find("recompute"), std::string::npos);
@@ -76,7 +124,8 @@ TEST(ProfileSerializationTest, LegacyVersionGetsExplicitMismatchError) {
   // misparse of a newer stream by an older binary).
   std::stringstream v9;
   v9 << "ZIGPROF9" << std::string(64, '\0');
-  EXPECT_TRUE(TableProfile::Deserialize(&v9).status().IsFailedPrecondition());
+  EXPECT_TRUE(
+      TableProfile::Deserialize(&v9, table).status().IsFailedPrecondition());
 }
 
 TEST(ProfileSerializationTest, TruncatedStreamRejected) {
@@ -87,12 +136,16 @@ TEST(ProfileSerializationTest, TruncatedStreamRejected) {
   const std::string full = buf.str();
   for (size_t cut : {size_t{4}, full.size() / 4, full.size() / 2, full.size() - 3}) {
     std::stringstream truncated(full.substr(0, cut));
-    EXPECT_FALSE(TableProfile::Deserialize(&truncated).ok()) << "cut=" << cut;
+    EXPECT_FALSE(TableProfile::Deserialize(&truncated, ds.table).ok())
+        << "cut=" << cut;
   }
 }
 
 TEST(ProfileSerializationTest, MissingFileIsIOError) {
-  EXPECT_TRUE(TableProfile::LoadFromFile("/nonexistent/dir/p.bin").status().IsIOError());
+  EXPECT_TRUE(TableProfile::LoadFromFile("/nonexistent/dir/p.bin",
+                                         MakeBoxOfficeDataset()->table)
+                  .status()
+                  .IsIOError());
 }
 
 TEST(ProfileSerializationTest, OptionsSurviveRoundTrip) {
@@ -104,10 +157,27 @@ TEST(ProfileSerializationTest, OptionsSurviveRoundTrip) {
   TableProfile original = TableProfile::Compute(ds.table, opts).ValueOrDie();
   std::stringstream buf;
   ASSERT_TRUE(original.Serialize(&buf).ok());
-  TableProfile restored = TableProfile::Deserialize(&buf).ValueOrDie();
+  TableProfile restored =
+      TableProfile::Deserialize(&buf, ds.table).ValueOrDie();
   EXPECT_DOUBLE_EQ(restored.options().pair_dependency_floor, 0.123);
   EXPECT_EQ(restored.options().histogram_bins, 7u);
   EXPECT_FALSE(restored.options().cache_sort_orders);
+  EXPECT_TRUE(restored.Equals(original));
+
+  // Without cached sort orders there are no midranks, before or after the
+  // round trip, and hence no rank-shift component.
+  for (const TableProfile* p : {&original, &restored}) {
+    for (size_t c = 0; c < ds.table.num_columns(); ++c) {
+      EXPECT_TRUE(p->SortOrder(c).empty());
+      EXPECT_TRUE(p->DoubledMidranks(c).empty());
+    }
+    ComponentTable comps =
+        BuildComponents(ds.table, *p, ds.planted).ValueOrDie();
+    ASSERT_GT(comps.size(), 0u);
+    for (const ZigComponent& comp : comps.components()) {
+      EXPECT_NE(comp.kind, ComponentKind::kRankShift);
+    }
+  }
 }
 
 // ----------------------------------------------------------------- JSON ------
